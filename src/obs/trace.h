@@ -55,8 +55,7 @@ class ChromeTraceSink final : public TraceSink {
   bool first_ = true;
 };
 
-/// Swallows events, counting them: the zero-serialization baseline for
-/// bench/micro_sim.cc and hook-coverage assertions in tests.
+/// Swallows events, counting them: hook-coverage assertions in tests use it.
 class NullTraceSink final : public TraceSink {
  public:
   void emit(const TraceEvent&) override { ++events_; }

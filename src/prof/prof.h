@@ -12,8 +12,8 @@
 // profiling on (tests/test_prof.cc).
 //
 // Host time is wall time: profiles from different machines or runs are not
-// comparable sample-for-sample. The perf-record layer (prof/perf_record.h)
-// is the normalized cross-run format; this is the drill-down.
+// comparable sample-for-sample. Speed comparisons across commits belong to
+// the same-host A/B benchmark (perfbench/); this is the drill-down.
 #pragma once
 
 #include <array>
@@ -81,9 +81,6 @@ class HostProfiler {
   /// Folded-stack lines ("simulate;scheduler_scan;issue 1234\n", value =
   /// self time in integer microseconds) — flamegraph.pl / speedscope input.
   [[nodiscard]] std::string folded() const;
-
-  /// Phase entries of json(), exposed for perf_record's per-point breakdown.
-  [[nodiscard]] std::string phases_json() const;
 
  private:
   struct Agg {

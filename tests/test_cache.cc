@@ -448,8 +448,10 @@ TEST(CliOptions, StrictParsingAndCrossFlagValidation) {
   EXPECT_THROW((void)feed("--cache", ""), runner::UsageError);
   EXPECT_THROW((void)feed("--cache-mode", "sideways"), runner::UsageError);
   EXPECT_FALSE(feed("--not-a-shared-flag", ""));
+  // Cache-enabled runs always print their counters, so there is no flag for it.
+  EXPECT_FALSE(feed("--cache-stats", ""));
 
-  // --cache-mode / --cache-stats without --cache are rejected, not ignored.
+  // --cache-mode without --cache is rejected, not ignored.
   EXPECT_TRUE(feed("--cache-mode", "verify"));
   EXPECT_THROW(opts.finalize(), runner::UsageError);
   EXPECT_TRUE(feed("--cache", "/tmp/store"));
@@ -471,8 +473,7 @@ TEST(CliOptions, StrictParsingAndCrossFlagValidation) {
 
   // One help source mentions every cache flag (check_docs.sh keys off this).
   const std::string help = runner::common_options_help(kAll);
-  for (const char* flag : {"--threads", "--filter", "--out", "--json", "--cache",
-                           "--cache-mode", "--cache-stats"})
+  for (const char* flag : {"--threads", "--filter", "--out", "--json", "--cache", "--cache-mode"})
     EXPECT_NE(help.find(flag), std::string::npos) << flag;
 
   EXPECT_EQ(cache::parse_cache_mode("readwrite"), cache::CacheMode::kReadWrite);

@@ -5,6 +5,7 @@
 
 #include "common/config.h"
 #include "gpu/simulator.h"
+#include "runner/kernel_source.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -181,6 +182,31 @@ TEST(GpuIntegration, MoreSmsFinishFaster) {
   GpuConfig many = configs::unshared();
   many.num_sms = 14;
   EXPECT_LT(simulate(many, k).stats.cycles, simulate(few, k).stats.cycles);
+}
+
+TEST(GpuIntegration, PinnedFullSizeCycles) {
+  // Exact full-size cycle counts of three points that cover the hot paths:
+  // fig8's flagship kernel, one generated sharing-study cell and one saved
+  // .gkd kernel in both exec modes. Any simulator change that moves a cycle
+  // shows up here; update the values only together with the reason.
+  const GpuConfig base = configs::unshared();
+  const GpuConfig shared = configs::shared_owf_unroll_dyn(Resource::kRegisters, 0.1);
+
+  const KernelInfo hotspot = workloads::hotspot();
+  EXPECT_EQ(simulate(base, hotspot).stats.cycles, 84665u);
+  EXPECT_EQ(simulate(shared, hotspot).stats.cycles, 74847u);
+
+  const KernelInfo study = runner::resolve_kernel("gen:study-r44-sm0-m2-l32:1");
+  EXPECT_EQ(simulate(base, study).stats.cycles, 79108u);
+  EXPECT_EQ(simulate(shared, study).stats.cycles, 83383u);
+
+  const KernelInfo staged =
+      runner::resolve_kernel(GRS_SOURCE_DIR "/examples/kernels/staged_reduce.gkd");
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    GpuConfig cfg = configs::unshared();
+    cfg.exec_mode = mode;
+    EXPECT_EQ(simulate(cfg, staged).stats.cycles, 8539u) << static_cast<int>(mode);
+  }
 }
 
 }  // namespace
