@@ -10,6 +10,7 @@ Gpu::Gpu(const GpuConfig& cfg, const KernelInfo& kernel, const Program& program,
          obs::SimObserver* obs, prof::HostProfiler* prof)
     : cfg_(cfg),
       occupancy_(compute_occupancy(cfg, kernel.resources)),
+      code_(program, cfg, occupancy_),
       memsys_(cfg),
       dyn_(cfg.sharing, cfg.num_sms),
       obs_(obs != nullptr && (obs->trace_enabled() || obs->timeline_interval() != 0) ? obs
@@ -22,7 +23,7 @@ Gpu::Gpu(const GpuConfig& cfg, const KernelInfo& kernel, const Program& program,
   memsys_.set_profiler(prof_);
   sms_.reserve(cfg.num_sms);
   for (SmId i = 0; i < cfg.num_sms; ++i) {
-    sms_.emplace_back(i, cfg_, program, kernel.resources, occupancy_,
+    sms_.emplace_back(i, cfg_, code_, kernel.resources, occupancy_,
                       kernel.active_lanes, memsys_, &dyn_, obs_, prof_);
   }
   dispatcher_ = std::make_unique<Dispatcher>(kernel.grid_blocks, occupancy_, sms_);

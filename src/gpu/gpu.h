@@ -44,6 +44,7 @@ class Gpu {
 
   GpuConfig cfg_;
   Occupancy occupancy_;
+  DecodedProgram code_;  ///< the program decoded once, shared by every SM
   MemorySystem memsys_;
   DynThrottle dyn_;
   std::vector<StreamingMultiprocessor> sms_;

@@ -44,12 +44,15 @@ void Cache::drain(Cycle now) {
   // cycle-by-cycle drain would, or replacement decisions diverge between
   // execution modes. The line-address tie-break keeps same-cycle batches
   // independent of hash-map iteration order.
+  if (now < min_ready_) return;
   ready_scratch_.clear();
+  min_ready_ = kNeverCycle;
   for (auto it = mshr_.begin(); it != mshr_.end();) {
     if (it->second <= now) {
       ready_scratch_.emplace_back(it->second, it->first);
       it = mshr_.erase(it);
     } else {
+      min_ready_ = std::min(min_ready_, it->second);
       ++it;
     }
   }
@@ -84,15 +87,9 @@ Cache::LookupResult Cache::lookup(Addr line_addr, Cycle now) {
   return LookupResult{};  // primary miss; caller calls fill_inflight()
 }
 
-Cycle Cache::next_ready() const {
-  Cycle next = kNeverCycle;
-  for (const auto& [line, ready] : mshr_) next = std::min(next, ready);
-  return next;
-}
-
 void Cache::fill_inflight(Addr line_addr, Cycle ready) {
   GRS_CHECK(mshr_.size() < cfg_.mshr_entries);
-  mshr_.emplace(line_addr, ready);
+  if (mshr_.emplace(line_addr, ready).second) min_ready_ = std::min(min_ready_, ready);
 }
 
 }  // namespace grs

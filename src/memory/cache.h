@@ -41,7 +41,8 @@ class Cache {
   /// Deliver every in-flight line whose data has arrived by `now`. Must be
   /// called once per cycle by the owner: lookup() also drains, but a full
   /// MSHR blocks issues *before* lookup, so without an explicit drain the
-  /// cache would deadlock against its own occupancy pre-check.
+  /// cache would deadlock against its own occupancy pre-check. O(1) when
+  /// nothing is due yet.
   void drain(Cycle now);
 
   /// Number of MSHR entries currently in flight (for tests).
@@ -50,7 +51,7 @@ class Cache {
   /// Earliest ready cycle over the in-flight misses, kNeverCycle when none.
   /// The event-driven loop uses this as a wakeup: a warp blocked on MSHR
   /// capacity can become issuable as soon as any entry drains.
-  [[nodiscard]] Cycle next_ready() const;
+  [[nodiscard]] Cycle next_ready() const { return min_ready_; }
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
@@ -73,6 +74,7 @@ class Cache {
   CacheConfig cfg_;
   std::vector<Way> ways_;               ///< num_sets * ways, row-major
   std::unordered_map<Addr, Cycle> mshr_;  ///< line -> ready cycle
+  Cycle min_ready_ = kNeverCycle;         ///< earliest ready cycle in mshr_
   std::vector<std::pair<Cycle, Addr>> ready_scratch_;  ///< drain() sort buffer
   std::uint64_t stamp_ = 0;
 };

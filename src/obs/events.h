@@ -2,12 +2,13 @@
 // scheme shared by the trace emitter, the docs, and the CI schema validator.
 //
 // Warp states mirror the scheduler's candidate-scan classification in
-// sm/sm.cc run_scheduler() one-to-one, so a Perfetto timeline of these slices
+// sm/sm.cc scan_warp() one-to-one, so a Perfetto timeline of these slices
 // decomposes exactly into the issued/stall/idle cycle accounting of
-// common/stats.h. The scan classifies every live warp every scanned cycle;
-// the trace collector turns that stream into state-transition slices, which
-// is what makes trace bytes identical across cycle and event exec modes
-// (event mode only skips cycles whose scan is provably unchanged).
+// common/stats.h. The trace collector turns the scan's stream into
+// state-transition slices, which is what makes trace bytes identical across
+// cycle and event exec modes: event mode only skips cycles whose scan is
+// provably unchanged, and warps parked in a state that cannot change before
+// the event that wakes them.
 #pragma once
 
 #include <cstdint>

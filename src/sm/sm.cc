@@ -9,7 +9,7 @@
 namespace grs {
 
 StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
-                                                 const Program& program,
+                                                 const DecodedProgram& code,
                                                  const KernelResources& res,
                                                  const Occupancy& occ,
                                                  std::uint32_t active_lanes,
@@ -19,7 +19,7 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
                                                  prof::HostProfiler* prof)
     : id_(id),
       cfg_(cfg),
-      program_(&program),
+      code_(&code),
       res_(res),
       occ_(occ),
       kernel_active_lanes_(active_lanes),
@@ -28,7 +28,6 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
       l1_(cfg.l1),
       coalescer_(cfg.l1.line_bytes),
       warps_per_block_(res.warps_per_block(cfg.warp_size)) {
-  GRS_CHECK_MSG(program.num_regs() <= 64, "scoreboard supports at most 64 registers/thread");
   GRS_CHECK(occ.total_blocks >= 1);
   GRS_CHECK(occ.total_blocks * warps_per_block_ <= cfg.max_warps_per_sm());
   warps_.resize(static_cast<std::size_t>(occ.total_blocks) * warps_per_block_);
@@ -39,6 +38,10 @@ StreamingMultiprocessor::StreamingMultiprocessor(SmId id, const GpuConfig& cfg,
   for (std::uint32_t s = 0; s < cfg.num_schedulers; ++s)
     schedulers_.emplace_back(cfg.scheduler, static_cast<std::uint32_t>(warps_.size()),
                              cfg.two_level_group_size);
+  const std::size_t slots_per_sched =
+      (warps_.size() + cfg.num_schedulers - 1) / cfg.num_schedulers;
+  visit_lists_.resize(cfg.num_schedulers);
+  for (VisitList& v : visit_lists_) v.visit.assign((slots_per_sched + 63) / 64, 0);
   cands_.reserve(warps_.size());
   txns_.reserve(32);
   if (obs != nullptr && obs->trace_enabled()) trace_ = obs;
@@ -73,6 +76,7 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
     b.side = static_cast<int>((slot - occ_.unshared_blocks) % 2);
     PairState& p = pairs_[b.pair_id];
     p.locks.on_block_replace(b.side);
+    wake_lock_waiters(p);
     // First occupant of an empty pair owns the shared pool.
     if (p.owner_side == PairLockState::kNoSide) p.owner_side = b.side;
   }
@@ -87,10 +91,10 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
     w.block = slot;
     w.warp_uid = block_uid * warps_per_block_ + i;
     w.dynamic_id = next_dynamic_id_++;
-    w.cursor = ProgramCursor(*program_);
     w.active_lanes = kernel_active_lanes_;
     if (i + 1 == warps_per_block_ && tail_threads != 0)
       w.active_lanes = std::min(w.active_lanes, tail_threads);
+    enlist(b.first_warp_slot + i);
   }
 
   ++resident_blocks_;
@@ -118,20 +122,42 @@ void StreamingMultiprocessor::drain_events(Cycle now) {
       GRS_CHECK(lsu_inflight_ > 0);
       --lsu_inflight_;
     }
+    wake(e.slot);
   }
 }
 
-bool StreamingMultiprocessor::needs_reg_lock(const ResidentBlock& b,
-                                             const Instruction& ins) const {
-  if (!b.is_shared() || cfg_.sharing.resource != Resource::kRegisters) return false;
-  const RegNum m = ins.max_reg();
-  return m != kNoReg && m >= occ_.unshared_regs_per_thread;
+void StreamingMultiprocessor::enlist(std::uint32_t slot) {
+  const auto n_sched = static_cast<std::uint32_t>(schedulers_.size());
+  const std::uint32_t k = slot / n_sched;
+  visit_lists_[slot % n_sched].visit[k / 64] |= 1ull << (k % 64);
 }
 
-bool StreamingMultiprocessor::needs_smem_lock(const ResidentBlock& b,
-                                              const Instruction& ins) const {
-  if (!b.is_shared() || cfg_.sharing.resource != Resource::kScratchpad) return false;
-  return is_shared_mem(ins.op) && ins.smem_offset >= occ_.unshared_smem_bytes;
+void StreamingMultiprocessor::delist(std::uint32_t slot) {
+  const auto n_sched = static_cast<std::uint32_t>(schedulers_.size());
+  const std::uint32_t k = slot / n_sched;
+  visit_lists_[slot % n_sched].visit[k / 64] &= ~(1ull << (k % 64));
+}
+
+void StreamingMultiprocessor::park(std::uint32_t slot, obs::WarpState why) {
+  ++visit_lists_[slot % schedulers_.size()].parked[static_cast<std::size_t>(why)];
+  warps_[slot].parked = why;
+  delist(slot);
+}
+
+void StreamingMultiprocessor::wake(std::uint32_t slot) {
+  Warp& w = warps_[slot];
+  if (w.parked == obs::WarpState::kNone) return;
+  --visit_lists_[slot % schedulers_.size()].parked[static_cast<std::size_t>(w.parked)];
+  w.parked = obs::WarpState::kNone;
+  enlist(slot);
+}
+
+void StreamingMultiprocessor::wake_lock_waiters(const PairState& p) {
+  const BlockSlot first = occ_.unshared_blocks + pair_id_of(p) * 2;
+  const std::uint32_t begin = first * warps_per_block_;
+  for (std::uint32_t slot = begin; slot < begin + 2 * warps_per_block_; ++slot) {
+    if (warps_[slot].parked == obs::WarpState::kLockWait) wake(slot);
+  }
 }
 
 void StreamingMultiprocessor::acquire_with_ownership(PairState& p, int side, bool reg,
@@ -156,6 +182,7 @@ void StreamingMultiprocessor::acquire_with_ownership(PairState& p, int side, boo
       p.owner_side = side;
       p.locks.set_entitled(side);
     }
+    wake_lock_waiters(p);
     if (trace_) trace_->lock_acquire(id_, pair_id_of(p), now, reg, side, pos, first_lock);
   }
 }
@@ -253,103 +280,45 @@ void StreamingMultiprocessor::repeat_idle_accounting(std::uint64_t n) {
 bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   cands_.clear();
   bool saw_stall = false;
-  // The scan classifies every live warp; with tracing on, each
-  // classification is mirrored to the observer, which turns the stream into
-  // state-transition slices (obs/events.h explains why that stays
-  // byte-identical across exec modes).
+  // With tracing on, each classification is mirrored to the observer, which
+  // turns the stream into state-transition slices (obs/events.h explains why
+  // that stays byte-identical across exec modes).
   obs::SimObserver* const tr = trace_;
+  using obs::WarpState;
+  auto visit = [&](std::uint32_t slot) {
+    const WarpState st = scan_warp(slot, now);
+    if (tr) tr->warp_scan(id_, slot, now, st);
+    saw_stall |= st == WarpState::kLsuPort || st == WarpState::kLsuQueue ||
+                 st == WarpState::kMshrFull || st == WarpState::kSfuPort;
+    return st;
+  };
 
   const auto n_sched = static_cast<std::uint32_t>(schedulers_.size());
-  for (std::uint32_t slot = sched_id; slot < warps_.size(); slot += n_sched) {
-    Warp& w = warps_[slot];
-    if (!w.live()) continue;
-    if (w.at_barrier) {  // synchronization wait -> idle class
-      ++stats_.blocked_barrier;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kBarrier);
-      continue;
-    }
-
-    const Instruction* ins = w.cursor.peek(*program_);
-    GRS_CHECK_MSG(ins != nullptr, "live warp with exhausted program");
-
-    // Scoreboard: RAW/WAW on in-flight results -> dependency wait (idle class).
-    if ((w.pending_writes & hazard_mask(*ins)) != 0) {
-      ++stats_.blocked_scoreboard;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kScoreboard);
-      continue;
-    }
-    if (ins->op == Op::kExit && w.inflight != 0) {  // drain before exit
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kDrainExit);
-      continue;
-    }
-
-    const ResidentBlock& b = blocks_[w.block];
-
-    // Sharing locks (paper Fig. 3/4 step (d)-(e)): the warp busy-waits; like
-    // a scoreboard dependency it is "not ready", so a cycle with only
-    // lock-blocked warps counts as idle, not as a pipeline stall.
-    if (needs_reg_lock(b, *ins) &&
-        !pairs_[b.pair_id].locks.reg_can_acquire(b.side, w.pos_in_block)) {
-      ++stats_.lock_wait_cycles;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kLockWait);
-      continue;
-    }
-    if (needs_smem_lock(b, *ins) && !pairs_[b.pair_id].locks.smem_can_acquire(b.side)) {
-      ++stats_.lock_wait_cycles;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kLockWait);
-      continue;
-    }
-
-    const WarpClass cls = classify(w);
-
-    // Dynamic warp execution gate (paper §IV-C): suppressed issue, also
-    // "not ready" this cycle. With a fractional probability the decision may
-    // flip from one cycle to the next; record which way it went so tick()
-    // knows how far this scan can be replayed.
-    if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(ins->op) &&
-        cls == WarpClass::kSharedNonOwner) {
-      const bool cycle_dependent = dyn_->gate_is_cycle_dependent(id_);
-      if (!dyn_->allow(id_, now, w.warp_uid)) {
-        ++stats_.dyn_throttled_issues;
-        if (cycle_dependent) dyn_blocked_uids_.push_back(w.warp_uid);
-        if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kDynGated);
-        continue;
-      }
-      scan_gate_passed_ |= cycle_dependent;
-    }
-
-    // Structural hazards -> stall class.
-    if (is_mem(ins->op)) {
-      if (lsu_port_ >= cfg_.lsu_issue_per_cycle) {
-        saw_stall = true;
-        ++stats_.blocked_lsu_port;
-        if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kLsuPort);
-        continue;
-      }
-      if (lsu_inflight_ >= cfg_.lsu_max_inflight) {
-        saw_stall = true;
-        ++stats_.blocked_lsu_inflight;
-        if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kLsuQueue);
-        continue;
-      }
-      if (ins->op == Op::kLdGlobal) {  // stores bypass the MSHR (no-allocate)
-        const std::uint32_t txns = ins->max_transactions();
-        if (l1_.inflight() + txns > cfg_.l1.mshr_entries) {
-          saw_stall = true;
-          ++stats_.blocked_mshr;
-          if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kMshrFull);
-          continue;
+  if (cfg_.exec_mode == ExecMode::kEvent) {
+    // Event mode: a parked warp's outcome repeats until the event that wakes
+    // it, so count it by reason instead of re-deriving it; a parked warp's
+    // repeated state would be a trace no-op too.
+    VisitList& v = visit_lists_[sched_id];
+    stats_.blocked_scoreboard += v.parked[static_cast<std::size_t>(WarpState::kScoreboard)];
+    stats_.blocked_barrier += v.parked[static_cast<std::size_t>(WarpState::kBarrier)];
+    stats_.lock_wait_cycles += v.parked[static_cast<std::size_t>(WarpState::kLockWait)];
+    for (std::size_t word = 0; word < v.visit.size(); ++word) {
+      // Iterate a copy: parking clears bits of the live word.
+      for (std::uint64_t bits = v.visit[word]; bits != 0; bits &= bits - 1) {
+        const auto k = static_cast<std::uint32_t>(word * 64 + __builtin_ctzll(bits));
+        const std::uint32_t slot = k * n_sched + sched_id;
+        const WarpState st = visit(slot);
+        if (st == WarpState::kBarrier || st == WarpState::kScoreboard ||
+            st == WarpState::kDrainExit || st == WarpState::kLockWait) {
+          park(slot, st);
         }
       }
-    } else if (ins->op == Op::kSfu && sfu_port_ >= cfg_.sfu_issue_per_cycle) {
-      saw_stall = true;
-      ++stats_.blocked_sfu_port;
-      if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kSfuPort);
-      continue;
     }
-
-    if (tr) tr->warp_scan(id_, slot, now, obs::WarpState::kEligible);
-    cands_.push_back(SchedCandidate{slot, w.dynamic_id, cls});
+  } else {
+    // Cycle mode, the reference: visit every live warp every cycle.
+    for (std::uint32_t slot = sched_id; slot < warps_.size(); slot += n_sched) {
+      if (warps_[slot].live()) visit(slot);
+    }
   }
 
   if (cands_.empty()) {
@@ -365,43 +334,110 @@ bool StreamingMultiprocessor::run_scheduler(std::uint32_t sched_id, Cycle now) {
   const std::size_t pick = schedulers_[sched_id].select(cands_);
   const std::uint32_t picked_slot = cands_[pick].slot;
   Warp& w = warps_[picked_slot];
-  const Instruction ins = *w.cursor.peek(*program_);
-  if (tr) tr->warp_issue(id_, picked_slot, now, ins.op);
-  issue(w, ins, now);
+  const DecodedInstr& d = (*code_)[w.cursor.pc];
+  if (tr) tr->warp_issue(id_, picked_slot, now, d.op);
+  issue(w, d, now);
   ++stats_.issued_cycles;
   ++stats_.warp_instructions;
   stats_.thread_instructions += w.active_lanes;
   return true;
 }
 
-void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) {
+obs::WarpState StreamingMultiprocessor::scan_warp(std::uint32_t slot, Cycle now) {
+  const Warp& w = warps_[slot];
+  if (w.at_barrier) {  // synchronization wait -> idle class
+    ++stats_.blocked_barrier;
+    return obs::WarpState::kBarrier;
+  }
+
+  const DecodedInstr& d = (*code_)[w.cursor.pc];
+
+  // Scoreboard: RAW/WAW on in-flight results -> dependency wait (idle class).
+  if ((w.pending_writes & d.hazard) != 0) {
+    ++stats_.blocked_scoreboard;
+    return obs::WarpState::kScoreboard;
+  }
+  if (d.op == Op::kExit && w.inflight != 0) return obs::WarpState::kDrainExit;
+
+  // Sharing locks (paper Fig. 3/4 step (d)-(e)): the warp busy-waits; like
+  // a scoreboard dependency it is "not ready", so a cycle with only
+  // lock-blocked warps counts as idle, not as a pipeline stall.
+  const ResidentBlock& b = blocks_[w.block];
+  if (b.is_shared()) {
+    const PairLockState& locks = pairs_[b.pair_id].locks;
+    if ((d.reg_lock && !locks.reg_can_acquire(b.side, w.pos_in_block)) ||
+        (d.smem_lock && !locks.smem_can_acquire(b.side))) {
+      ++stats_.lock_wait_cycles;
+      return obs::WarpState::kLockWait;
+    }
+  }
+
+  const WarpClass cls = classify(w);
+
+  // Dynamic warp execution gate (paper §IV-C): suppressed issue, also
+  // "not ready" this cycle. With a fractional probability the decision may
+  // flip from one cycle to the next; record which way it went so tick()
+  // knows how far this scan can be replayed.
+  if (dyn_ != nullptr && dyn_->enabled() && is_global_mem(d.op) &&
+      cls == WarpClass::kSharedNonOwner) {
+    const bool cycle_dependent = dyn_->gate_is_cycle_dependent(id_);
+    if (!dyn_->allow(id_, now, w.warp_uid)) {
+      ++stats_.dyn_throttled_issues;
+      if (cycle_dependent) dyn_blocked_uids_.push_back(w.warp_uid);
+      return obs::WarpState::kDynGated;
+    }
+    scan_gate_passed_ |= cycle_dependent;
+  }
+
+  // Structural hazards -> stall class.
+  if (is_mem(d.op)) {
+    if (lsu_port_ >= cfg_.lsu_issue_per_cycle) {
+      ++stats_.blocked_lsu_port;
+      return obs::WarpState::kLsuPort;
+    }
+    if (lsu_inflight_ >= cfg_.lsu_max_inflight) {
+      ++stats_.blocked_lsu_inflight;
+      return obs::WarpState::kLsuQueue;
+    }
+    // Stores bypass the MSHR (no-allocate).
+    if (d.op == Op::kLdGlobal && l1_.inflight() + d.max_transactions > cfg_.l1.mshr_entries) {
+      ++stats_.blocked_mshr;
+      return obs::WarpState::kMshrFull;
+    }
+  } else if (d.op == Op::kSfu && sfu_port_ >= cfg_.sfu_issue_per_cycle) {
+    ++stats_.blocked_sfu_port;
+    return obs::WarpState::kSfuPort;
+  }
+
+  cands_.push_back(SchedCandidate{slot, w.dynamic_id, cls});
+  return obs::WarpState::kEligible;
+}
+
+void StreamingMultiprocessor::issue(Warp& w, const DecodedInstr& d, Cycle now) {
   ResidentBlock& b = blocks_[w.block];
 
   // Take sharing locks (legality was established during candidate scan).
-  if (needs_reg_lock(b, ins))
+  if (b.is_shared() && d.reg_lock)
     acquire_with_ownership(pairs_[b.pair_id], b.side, /*reg=*/true, w.pos_in_block, now);
-  if (needs_smem_lock(b, ins))
+  if (b.is_shared() && d.smem_lock)
     acquire_with_ownership(pairs_[b.pair_id], b.side, /*reg=*/false, 0, now);
 
-  // Static identity and per-instruction execution index of `ins`, captured
-  // before the cursor moves (profile-backed address sampling keys on them).
-  const std::uint64_t instr_uid =
-      (static_cast<std::uint64_t>(w.cursor.segment_index()) << 32) | w.cursor.instr_index();
-  const std::uint64_t instr_seq = w.cursor.iteration();
+  // Execution index of this instruction, captured before the cursor moves
+  // (profile-backed address sampling keys on it and on d.uid).
+  const std::uint64_t instr_seq = w.cursor.iter;
+  w.cursor.advance(d);
 
-  w.cursor.advance(*program_);
-
-  switch (ins.op) {
+  switch (d.op) {
     case Op::kAlu: {
-      events_.push(Event{now + cfg_.alu_latency, warp_slot_of(w), reg_bit(ins.dst), false});
-      w.pending_writes |= reg_bit(ins.dst);
+      events_.push(Event{now + cfg_.alu_latency, warp_slot_of(w), d.dst, false});
+      w.pending_writes |= d.dst;
       ++w.inflight;
       break;
     }
     case Op::kSfu: {
       ++sfu_port_;
-      events_.push(Event{now + cfg_.sfu_latency, warp_slot_of(w), reg_bit(ins.dst), false});
-      w.pending_writes |= reg_bit(ins.dst);
+      events_.push(Event{now + cfg_.sfu_latency, warp_slot_of(w), d.dst, false});
+      w.pending_writes |= d.dst;
       ++w.inflight;
       break;
     }
@@ -409,16 +445,15 @@ void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) 
     case Op::kStShared: {
       ++lsu_port_;
       ++lsu_inflight_;
-      events_.push(
-          Event{now + cfg_.scratchpad_latency, warp_slot_of(w), reg_bit(ins.dst), true});
-      w.pending_writes |= reg_bit(ins.dst);
+      events_.push(Event{now + cfg_.scratchpad_latency, warp_slot_of(w), d.dst, true});
+      w.pending_writes |= d.dst;
       ++w.inflight;
       break;
     }
     case Op::kLdGlobal:
     case Op::kStGlobal: {
       ++lsu_port_;
-      do_global_access(w, ins, now, instr_seq, instr_uid);
+      do_global_access(w, d, now, instr_seq);
       break;
     }
     case Op::kBarrier: {
@@ -434,17 +469,17 @@ void StreamingMultiprocessor::issue(Warp& w, const Instruction& ins, Cycle now) 
   }
 }
 
-void StreamingMultiprocessor::do_global_access(Warp& w, const Instruction& ins, Cycle now,
-                                               std::uint64_t instr_seq,
-                                               std::uint64_t instr_uid) {
+void StreamingMultiprocessor::do_global_access(Warp& w, const DecodedInstr& d, Cycle now,
+                                               std::uint64_t instr_seq) {
+  const Instruction& ins = *d.ins;
   txns_.clear();
   const MemAccessContext ctx{w.warp_uid, blocks_[w.block].block_uid, w.mem_seq, instr_seq,
-                             instr_uid};
+                             d.uid};
   ++w.mem_seq;
   coalescer_.expand(ins, ctx, txns_);
 
   Cycle completion = now + cfg_.l1_hit_latency;
-  if (ins.op == Op::kStGlobal) {
+  if (d.op == Op::kStGlobal) {
     // Write-through, no-allocate, fire-and-forget: the store consumes L2 and
     // DRAM bandwidth but the warp only waits for the write-queue handoff
     // (GPGPU-Sim models global stores the same way).
@@ -478,21 +513,25 @@ void StreamingMultiprocessor::do_global_access(Warp& w, const Instruction& ins, 
   }
 
   ++lsu_inflight_;
-  events_.push(Event{completion, warp_slot_of(w), reg_bit(ins.dst), true});
-  w.pending_writes |= reg_bit(ins.dst);
+  events_.push(Event{completion, warp_slot_of(w), d.dst, true});
+  w.pending_writes |= d.dst;
   ++w.inflight;
 }
 
 void StreamingMultiprocessor::release_barrier_if_complete(ResidentBlock& b) {
   if (b.barrier_arrived == 0) return;
   if (b.barrier_arrived + b.warps_exited != b.num_warps) return;
-  for (std::uint32_t i = 0; i < b.num_warps; ++i) warps_[b.first_warp_slot + i].at_barrier = false;
+  for (std::uint32_t slot = b.first_warp_slot; slot < b.first_warp_slot + b.num_warps; ++slot) {
+    warps_[slot].at_barrier = false;
+    wake(slot);
+  }
   b.barrier_arrived = 0;
 }
 
 void StreamingMultiprocessor::handle_exit(Warp& w, Cycle now) {
   GRS_CHECK(w.inflight == 0 && w.pending_writes == 0);
   w.exited = true;
+  delist(warp_slot_of(w));
   ResidentBlock& b = blocks_[w.block];
   ++b.warps_exited;
   GRS_CHECK(resident_warps_ > 0);
@@ -503,6 +542,7 @@ void StreamingMultiprocessor::handle_exit(Warp& w, Cycle now) {
   if (b.is_shared() && cfg_.sharing.resource == Resource::kRegisters) {
     // Shared registers release when their holder warp finishes (paper §III-A).
     pairs_[b.pair_id].locks.reg_release_on_warp_finish(b.side, w.pos_in_block);
+    wake_lock_waiters(pairs_[b.pair_id]);
     if (trace_) trace_->lock_release_warp(id_, b.pair_id, now, b.side, w.pos_in_block);
   }
 
@@ -546,6 +586,7 @@ void StreamingMultiprocessor::finish_block(BlockSlot bs, Cycle now) {
     } else {
       p.owner_side = PairLockState::kNoSide;
     }
+    wake_lock_waiters(p);
   }
 
   if (on_block_finish_) on_block_finish_(id_, bs);

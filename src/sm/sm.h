@@ -14,6 +14,7 @@
 //  * the Dyn gate in front of non-owner global-memory issues (§IV-C).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -25,11 +26,12 @@
 #include "core/dyn_throttle.h"
 #include "core/locks.h"
 #include "core/occupancy.h"
-#include "isa/program.h"
 #include "memory/cache.h"
 #include "memory/coalescer.h"
 #include "memory/memsys.h"
+#include "obs/events.h"
 #include "sm/block.h"
+#include "sm/decoded.h"
 #include "sm/scheduler.h"
 #include "sm/warp.h"
 
@@ -52,8 +54,10 @@ class StreamingMultiprocessor {
   /// and ignored thereafter unless tracing is enabled, so the default-null
   /// case costs one untaken branch per hook site (src/obs/obs.h). `prof`
   /// (optional) receives host-phase timings under the same null-guarded
-  /// contract (src/prof/prof.h).
-  StreamingMultiprocessor(SmId id, const GpuConfig& cfg, const Program& program,
+  /// contract (src/prof/prof.h). `code` (must outlive the SM) is the
+  /// kernel's program decoded for this cfg and occupancy; the Gpu builds it
+  /// once and every SM reads the same table.
+  StreamingMultiprocessor(SmId id, const GpuConfig& cfg, const DecodedProgram& code,
                           const KernelResources& res, const Occupancy& occ,
                           std::uint32_t active_lanes, MemorySystem& memsys,
                           const DynThrottle* dyn, obs::SimObserver* obs = nullptr,
@@ -160,15 +164,25 @@ class StreamingMultiprocessor {
 
   void drain_events(Cycle now);
   bool run_scheduler(std::uint32_t sched_id, Cycle now);
-  void issue(Warp& w, const Instruction& ins, Cycle now);
-  void do_global_access(Warp& w, const Instruction& ins, Cycle now, std::uint64_t instr_seq,
-                        std::uint64_t instr_uid);
+  /// Classify one live warp for this cycle: count its blocked reason, or
+  /// append it to cands_ (kEligible). The one classification body both
+  /// exec modes share; they differ only in which slots they hand it.
+  [[nodiscard]] obs::WarpState scan_warp(std::uint32_t slot, Cycle now);
+  void issue(Warp& w, const DecodedInstr& d, Cycle now);
+  void do_global_access(Warp& w, const DecodedInstr& d, Cycle now, std::uint64_t instr_seq);
   void handle_exit(Warp& w, Cycle now);
   void finish_block(BlockSlot bs, Cycle now);
   void release_barrier_if_complete(ResidentBlock& b);
-  [[nodiscard]] bool needs_reg_lock(const ResidentBlock& b, const Instruction& ins) const;
-  [[nodiscard]] bool needs_smem_lock(const ResidentBlock& b, const Instruction& ins) const;
   void acquire_with_ownership(PairState& p, int side, bool reg, std::uint32_t pos, Cycle now);
+
+  // --- event-mode visit lists (parked warps) -------------------------------
+  void enlist(std::uint32_t slot);
+  void delist(std::uint32_t slot);
+  void park(std::uint32_t slot, obs::WarpState why);
+  /// Put a parked warp back on its scheduler's visit list (no-op otherwise).
+  void wake(std::uint32_t slot);
+  /// Wake every warp of pair `p` parked on a lock: its lock state changed.
+  void wake_lock_waiters(const PairState& p);
   [[nodiscard]] std::uint32_t pair_id_of(const PairState& p) const {
     return static_cast<std::uint32_t>(&p - pairs_.data());
   }
@@ -178,7 +192,7 @@ class StreamingMultiprocessor {
 
   SmId id_;
   GpuConfig cfg_;
-  const Program* program_;
+  const DecodedProgram* code_;
   KernelResources res_;
   Occupancy occ_;
   std::uint32_t kernel_active_lanes_;
@@ -193,6 +207,22 @@ class StreamingMultiprocessor {
   std::vector<ResidentBlock> blocks_;
   std::vector<PairState> pairs_;
   std::vector<WarpScheduler> schedulers_;
+
+  /// Event mode visits only the warps whose scan outcome can have changed.
+  /// A warp found at a barrier, on the scoreboard, draining before exit or
+  /// waiting on a lock is parked: that outcome repeats until its barrier is
+  /// released, a writeback for it retires, or its pair's lock state changes,
+  /// and each of those wakes it. Per scheduler: `visit` is a bitset over its
+  /// slots in slot order (bit k = slot k * num_schedulers + scheduler)
+  /// holding the live, unparked warps; `parked` counts the rest by outcome,
+  /// and each scan adds those counts to the per-warp-per-cycle blocked
+  /// counters they stand for. Cycle mode keeps the lists but visits every
+  /// slot and parks nothing.
+  struct VisitList {
+    std::vector<std::uint64_t> visit;
+    std::array<std::uint32_t, static_cast<std::size_t>(obs::WarpState::kSfuPort) + 1> parked{};
+  };
+  std::vector<VisitList> visit_lists_;
 
   std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
   std::uint32_t lsu_inflight_ = 0;

@@ -4,20 +4,10 @@
 #include <cstdint>
 
 #include "common/types.h"
-#include "isa/program.h"
+#include "obs/events.h"
+#include "sm/decoded.h"
 
 namespace grs {
-
-/// Scoreboard mask helpers: one bit per architectural register (the IR caps
-/// registers per thread at 64, checked at kernel launch).
-[[nodiscard]] constexpr std::uint64_t reg_bit(RegNum r) {
-  return r == kNoReg ? 0ull : (1ull << r);
-}
-
-/// Registers an instruction reads or writes (RAW + WAW hazard mask).
-[[nodiscard]] constexpr std::uint64_t hazard_mask(const Instruction& i) {
-  return reg_bit(i.dst) | reg_bit(i.src0) | reg_bit(i.src1);
-}
 
 struct Warp {
   // --- identity ----------------------------------------------------------
@@ -29,9 +19,12 @@ struct Warp {
   std::uint32_t active_lanes = 32;
 
   // --- progress ------------------------------------------------------------
-  ProgramCursor cursor;
+  DecodedCursor cursor;
   bool exited = false;
   bool at_barrier = false;
+  /// Event mode: the scan outcome this warp is parked on, which repeats
+  /// until the SM wakes it (sm/sm.h VisitList); kNone = visited every scan.
+  obs::WarpState parked = obs::WarpState::kNone;
 
   // --- scoreboard ----------------------------------------------------------
   std::uint64_t pending_writes = 0;  ///< bit set => register write in flight

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/config.h"
 #include "gpu/simulator.h"
+#include "runner/kernel_source.h"
 #include "workloads/suites.h"
 
 namespace grs {
@@ -19,9 +22,14 @@ KernelInfo shrink(KernelInfo k, std::uint32_t blocks) {
   return k;
 }
 
+KernelInfo corpus_kernel(const std::string& file) {
+  return runner::resolve_kernel(GRS_SOURCE_DIR "/examples/kernels/" + file);
+}
+
 /// Run `kernel` under both execution modes and assert identical stats.
-void expect_equivalent(GpuConfig cfg, const KernelInfo& kernel,
-                       const std::string& what) {
+/// Returns the cycle-mode (reference) result.
+SimResult expect_equivalent(GpuConfig cfg, const KernelInfo& kernel,
+                            const std::string& what) {
   cfg.exec_mode = ExecMode::kCycle;
   const SimResult naive = simulate(cfg, kernel);
   cfg.exec_mode = ExecMode::kEvent;
@@ -42,6 +50,7 @@ void expect_equivalent(GpuConfig cfg, const KernelInfo& kernel,
       << what;
   EXPECT_EQ(naive.stats.l2_accesses, event.stats.l2_accesses) << what;
   EXPECT_EQ(naive.stats.dram_requests, event.stats.dram_requests) << what;
+  return naive;
 }
 
 GpuConfig sharing_line(SchedulerKind sched, int line) {
@@ -60,14 +69,16 @@ GpuConfig sharing_line(SchedulerKind sched, int line) {
 constexpr const char* kLineNames[] = {"unshared", "shared-reg", "shared-smem",
                                       "shared-reg-unroll-dyn"};
 
-// The ISSUE grid: kernels x {LRR, GTO, two-level, OWF} x {no sharing,
-// register sharing, scratchpad sharing, +dyn}. Kernels cover one per paper
-// set (register-limited, scratchpad-limited, thread/block-limited) at a
-// shrunken grid so one point simulates in milliseconds.
+// The grid: kernels x {LRR, GTO, two-level, OWF} x {no sharing, register
+// sharing, scratchpad sharing, +dyn}. Kernels cover one per paper set
+// (register-limited, scratchpad-limited, thread/block-limited) plus a
+// barrier-per-iteration corpus kernel, at a shrunken grid so one point
+// simulates in milliseconds.
 TEST(Equivalence, KernelsBySchedulersBySharing) {
   const KernelInfo kernels[] = {shrink(workloads::hotspot(), 8),
                                 shrink(workloads::lavamd(), 8),
-                                shrink(workloads::bfs(), 8)};
+                                shrink(workloads::bfs(), 8),
+                                shrink(corpus_kernel("staged_reduce.gkd"), 16)};
   const SchedulerKind scheds[] = {SchedulerKind::kLrr, SchedulerKind::kGto,
                                   SchedulerKind::kTwoLevel, SchedulerKind::kOwf};
   for (const KernelInfo& k : kernels) {
@@ -78,6 +89,29 @@ TEST(Equivalence, KernelsBySchedulersBySharing) {
                           k.name + " / " + to_string(sched) + " / " + kLineNames[line]);
       }
     }
+  }
+}
+
+// Event mode parks warps blocked on a sharing lock or at a barrier and counts
+// them by reason; cycle mode re-classifies every warp every cycle. A
+// register-pressure kernel with a barrier opening each loop iteration makes
+// both populations large under register sharing, so the parked counts are
+// compared against the reference scan on every scheduler.
+TEST(Equivalence, ParkedLockAndBarrierWaits) {
+  KernelInfo k = shrink(corpus_kernel("study_reg_pressure.gkd"), 16);
+  Instruction barrier;
+  barrier.op = Op::kBarrier;
+  std::vector<Segment> segs = k.program.segments();
+  for (Segment& s : segs) {
+    if (s.iterations > 1) s.instrs.insert(s.instrs.begin(), barrier);
+  }
+  k.program = Program(std::move(segs), k.program.num_regs());
+  for (const SchedulerKind sched : {SchedulerKind::kLrr, SchedulerKind::kGto,
+                                    SchedulerKind::kTwoLevel, SchedulerKind::kOwf}) {
+    const std::string what = "barriered study_reg_pressure / " + std::string(to_string(sched));
+    const SimResult r = expect_equivalent(sharing_line(sched, 1), k, what);
+    EXPECT_GT(r.stats.sm_total.lock_wait_cycles, 0u) << what;
+    EXPECT_GT(r.stats.sm_total.blocked_barrier, 0u) << what;
   }
 }
 

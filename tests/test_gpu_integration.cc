@@ -3,6 +3,9 @@
 // effective blocks preserved).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/config.h"
 #include "gpu/simulator.h"
 #include "runner/kernel_source.h"
@@ -182,6 +185,34 @@ TEST(GpuIntegration, MoreSmsFinishFaster) {
   GpuConfig many = configs::unshared();
   many.num_sms = 14;
   EXPECT_LT(simulate(many, k).stats.cycles, simulate(few, k).stats.cycles);
+}
+
+TEST(GpuIntegrationDeathTest, LoadWiderThanL1MshrFailsByName) {
+  // A load whose worst-case transactions exceed l1.mshr_entries could never
+  // pass the MSHR pre-check. The launch must name it rather than leave event
+  // mode to a generic deadlock abort and cycle mode to spin forever.
+  KernelInfo k = shrink(workloads::hotspot(), 8);
+  std::vector<Segment> segs = k.program.segments();
+  std::string where;
+  for (std::size_t s = 0; s < segs.size() && where.empty(); ++s) {
+    for (std::size_t i = 0; i < segs[s].instrs.size(); ++i) {
+      Instruction& ins = segs[s].instrs[i];
+      if (ins.op != Op::kLdGlobal) continue;
+      ins.pattern = MemPattern::kScatter8;
+      ins.profile.reset();
+      where = "load at segment " + std::to_string(s) + ", instruction " + std::to_string(i);
+      break;
+    }
+  }
+  ASSERT_FALSE(where.empty());
+  k.program = Program(std::move(segs), k.program.num_regs());
+  for (const ExecMode mode : {ExecMode::kCycle, ExecMode::kEvent}) {
+    GpuConfig cfg = configs::unshared();
+    cfg.l1.mshr_entries = 4;
+    cfg.exec_mode = mode;
+    EXPECT_DEATH((void)simulate(cfg, k),
+                 where + " needs 8 L1 transactions but l1.mshr_entries is 4");
+  }
 }
 
 TEST(GpuIntegration, PinnedFullSizeCycles) {

@@ -113,6 +113,33 @@ TEST(Cache, NextReadyTracksEarliestInflightMiss) {
   EXPECT_EQ(c.next_ready(), kNeverCycle);
 }
 
+TEST(Cache, NextReadyFollowsPartialDrains) {
+  // drain() keeps the earliest in-flight ready cycle as it removes delivered
+  // entries, and returns early while nothing is due.
+  Cache c(CacheConfig{});
+  (void)c.lookup(0, 0);
+  c.fill_inflight(0, 30);
+  (void)c.lookup(128, 0);
+  c.fill_inflight(128, 50);
+  EXPECT_EQ(c.next_ready(), 30u);
+  c.drain(29);  // nothing due yet
+  EXPECT_EQ(c.inflight(), 2u);
+  EXPECT_EQ(c.next_ready(), 30u);
+  c.drain(40);  // delivers only the first fill
+  EXPECT_EQ(c.inflight(), 1u);
+  EXPECT_EQ(c.next_ready(), 50u);
+  EXPECT_TRUE(c.lookup(0, 41).hit);
+  // A later fill that is due earlier lowers the minimum again.
+  (void)c.lookup(256, 41);
+  c.fill_inflight(256, 45);
+  EXPECT_EQ(c.next_ready(), 45u);
+  // lookup() drains too: both remaining fills are delivered by cycle 60.
+  EXPECT_TRUE(c.lookup(128, 60).hit);
+  EXPECT_EQ(c.inflight(), 0u);
+  EXPECT_EQ(c.next_ready(), kNeverCycle);
+  EXPECT_TRUE(c.lookup(256, 61).hit);
+}
+
 TEST(Cache, BatchDrainInstallsInReadyOrder) {
   // A drain covering several cycles at once (event-driven wakeup) must stamp
   // LRU recency in ready order, exactly as a cycle-by-cycle drain would.

@@ -19,9 +19,10 @@ struct SmHarness {
       : cfg(cfg_in),
         program(prog_in),
         occ(compute_occupancy(cfg, res)),
+        code(program, cfg, occ),
         memsys(cfg),
         dyn(cfg.sharing, cfg.num_sms),
-        sm(0, cfg, program, res, occ, 32, memsys, &dyn) {}
+        sm(0, cfg, code, res, occ, 32, memsys, &dyn) {}
 
   Cycle run_until_drained(Cycle limit = 1'000'000) {
     Cycle now = 0;
@@ -37,6 +38,7 @@ struct SmHarness {
   GpuConfig cfg;
   Program program;
   Occupancy occ;
+  DecodedProgram code;
   MemorySystem memsys;
   DynThrottle dyn;
   StreamingMultiprocessor sm;
