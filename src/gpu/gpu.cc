@@ -1,6 +1,7 @@
 #include "gpu/gpu.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/check.h"
 
@@ -57,12 +58,31 @@ void Gpu::take_timeline_sample(Cycle b) {
   obs_->timeline_sample(b, pts, g);
 }
 
-bool Gpu::done() const {
-  if (!dispatcher_->all_dispatched()) return false;
-  for (const auto& sm : sms_) {
-    if (!sm.drained()) return false;
+bool Gpu::advance_sm(std::size_t i, Cycle cycle) {
+  StreamingMultiprocessor& sm = sms_[i];
+  const bool issued = cfg_.exec_mode == ExecMode::kEvent ? sm.tick(cycle) : sm.step(cycle);
+  if (!drained_[i] && sm.drained()) {
+    drained_[i] = true;
+    --undrained_sms_;
   }
-  return true;
+  return issued;
+}
+
+void Gpu::abort_deadlock(Cycle cycle) const {
+  std::ostringstream msg;
+  msg << "deadlock at cycle " << cycle
+      << ": no warp can ever issue again and no event is pending";
+  for (const auto& sm : sms_) {
+    if (sm.resident_blocks() == 0) continue;
+    msg << "\n  SM " << sm.id() << ": resident blocks=" << sm.resident_blocks()
+        << " warps=" << sm.resident_warps() << "; parked";
+    const StreamingMultiprocessor::ParkedCounts parked = sm.parked_counts();
+    for (std::size_t st = 0; st < parked.size(); ++st) {
+      if (parked[st] != 0) msg << ' ' << obs::to_string(static_cast<obs::WarpState>(st)) << '='
+                               << parked[st];
+    }
+  }
+  detail::check_failed("next != kNeverCycle", __FILE__, __LINE__, msg.str().c_str());
 }
 
 GpuStats Gpu::run() {
@@ -81,6 +101,9 @@ GpuStats Gpu::run() {
   }
 
   dispatcher_->initial_fill();
+  drained_.clear();
+  for (const auto& sm : sms_) drained_.push_back(sm.drained());
+  undrained_sms_ = static_cast<std::size_t>(std::count(drained_.begin(), drained_.end(), false));
 
   std::vector<std::uint64_t> stall_mark(sms_.size(), 0);
   std::vector<std::uint64_t> period_stalls(sms_.size(), 0);
@@ -103,13 +126,20 @@ GpuStats Gpu::run() {
       }
     }
     bool issued = false;
+    // Earliest idle_until() over the SMs after this cycle's ticks.
+    Cycle next_wake = kNeverCycle;
     if (event_mode) {
-      // tick() lets each SM sleep through its own provably-idle windows
-      // (O(1) per slept cycle); SMs interact only through issue-time memory
-      // accesses, which a sleeping SM by definition does not generate.
-      for (auto& sm : sms_) issued |= sm.tick(cycle);
+      // The wake calendar: tick() lets each SM sleep through its own
+      // provably-idle windows, so only the SMs whose window has ended are
+      // ticked (a sleeping SM's tick is a no-op). SMs interact only through
+      // issue-time memory accesses, which a sleeping SM by definition does
+      // not generate; the awake ones still go in SM-index order.
+      for (std::size_t i = 0; i < sms_.size(); ++i) {
+        if (sms_[i].idle_until() <= cycle) issued |= advance_sm(i, cycle);
+        next_wake = std::min(next_wake, sms_[i].idle_until());
+      }
     } else {
-      for (auto& sm : sms_) issued |= sm.step(cycle);
+      for (std::size_t i = 0; i < sms_.size(); ++i) issued |= advance_sm(i, cycle);
     }
 
     // Dynamic warp execution: periodic stall comparison against SM0
@@ -137,11 +167,9 @@ GpuStats Gpu::run() {
     // state that moves; skipped-cycle accounting is settled lazily when each
     // SM wakes or at the final flush below).
     if (event_mode && !issued) {
-      Cycle next = kNeverCycle;
-      for (const auto& sm : sms_) next = std::min(next, sm.idle_until());
+      Cycle next = next_wake;
       if (cfg_.max_cycles != 0) next = std::min(next, cfg_.max_cycles);
-      GRS_CHECK_MSG(next != kNeverCycle,
-                    "deadlock: no warp can ever issue again and no event is pending");
+      if (next == kNeverCycle) abort_deadlock(cycle);
       if (next > cycle + 1) cycle = next - 1;
     }
   }

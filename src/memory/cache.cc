@@ -1,7 +1,5 @@
 #include "memory/cache.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace grs {
@@ -38,26 +36,17 @@ void Cache::install(Addr line_addr) {
 }
 
 void Cache::drain(Cycle now) {
-  // Collect, then install sorted by (ready, line): a drain that covers
-  // several cycles at once (the event-driven loop wakes an SM after a
-  // multi-cycle idle window) must assign LRU stamps in the same order a
-  // cycle-by-cycle drain would, or replacement decisions diverge between
-  // execution modes. The line-address tie-break keeps same-cycle batches
-  // independent of hash-map iteration order.
-  if (now < min_ready_) return;
-  ready_scratch_.clear();
-  min_ready_ = kNeverCycle;
-  for (auto it = mshr_.begin(); it != mshr_.end();) {
-    if (it->second <= now) {
-      ready_scratch_.emplace_back(it->second, it->first);
-      it = mshr_.erase(it);
-    } else {
-      min_ready_ = std::min(min_ready_, it->second);
-      ++it;
-    }
+  // Install in (ready, line) order: a drain that covers several cycles at
+  // once (the event-driven loop wakes an SM after a multi-cycle idle window)
+  // must assign LRU stamps in the same order a cycle-by-cycle drain would,
+  // or replacement decisions diverge between execution modes. The
+  // line-address tie-break fixes the order of lines due in the same cycle.
+  while (!ready_order_.empty() && ready_order_.top().first <= now) {
+    const Addr line = ready_order_.top().second;
+    ready_order_.pop();
+    mshr_.erase(line);
+    install(line);
   }
-  std::sort(ready_scratch_.begin(), ready_scratch_.end());
-  for (const auto& [ready, line] : ready_scratch_) install(line);
 }
 
 Cache::LookupResult Cache::lookup(Addr line_addr, Cycle now) {
@@ -89,7 +78,7 @@ Cache::LookupResult Cache::lookup(Addr line_addr, Cycle now) {
 
 void Cache::fill_inflight(Addr line_addr, Cycle ready) {
   GRS_CHECK(mshr_.size() < cfg_.mshr_entries);
-  if (mshr_.emplace(line_addr, ready).second) min_ready_ = std::min(min_ready_, ready);
+  if (mshr_.emplace(line_addr, ready).second) ready_order_.emplace(ready, line_addr);
 }
 
 }  // namespace grs

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -42,7 +44,7 @@ class Cache {
   /// called once per cycle by the owner: lookup() also drains, but a full
   /// MSHR blocks issues *before* lookup, so without an explicit drain the
   /// cache would deadlock against its own occupancy pre-check. O(1) when
-  /// nothing is due yet.
+  /// nothing is due yet; O(log n) per delivered line otherwise.
   void drain(Cycle now);
 
   /// Number of MSHR entries currently in flight (for tests).
@@ -51,7 +53,9 @@ class Cache {
   /// Earliest ready cycle over the in-flight misses, kNeverCycle when none.
   /// The event-driven loop uses this as a wakeup: a warp blocked on MSHR
   /// capacity can become issuable as soon as any entry drains.
-  [[nodiscard]] Cycle next_ready() const { return min_ready_; }
+  [[nodiscard]] Cycle next_ready() const {
+    return ready_order_.empty() ? kNeverCycle : ready_order_.top().first;
+  }
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
@@ -73,9 +77,12 @@ class Cache {
 
   CacheConfig cfg_;
   std::vector<Way> ways_;               ///< num_sets * ways, row-major
-  std::unordered_map<Addr, Cycle> mshr_;  ///< line -> ready cycle
-  Cycle min_ready_ = kNeverCycle;         ///< earliest ready cycle in mshr_
-  std::vector<std::pair<Cycle, Addr>> ready_scratch_;  ///< drain() sort buffer
+  std::unordered_map<Addr, Cycle> mshr_;  ///< line -> ready cycle (merges)
+  /// The same entries as mshr_, as a (ready, line) min-heap: drain() pops
+  /// them in install order. An entry leaves both only in drain(), so the two
+  /// always hold the same lines.
+  using ReadyLine = std::pair<Cycle, Addr>;
+  std::priority_queue<ReadyLine, std::vector<ReadyLine>, std::greater<>> ready_order_;
   std::uint64_t stamp_ = 0;
 };
 

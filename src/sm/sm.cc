@@ -110,19 +110,47 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
   }
 }
 
+void StreamingMultiprocessor::WritebackFifo::push(const Event& e) {
+  if (tail_ - head_ == ring_.size()) {
+    std::vector<Event> grown(std::max<std::size_t>(16, 2 * ring_.size()));
+    for (std::size_t i = head_; i < tail_; ++i) grown[i - head_] = ring_[i & (ring_.size() - 1)];
+    ring_ = std::move(grown);
+    tail_ -= head_;
+    head_ = 0;
+  }
+  ring_[tail_++ & (ring_.size() - 1)] = e;
+}
+
+void StreamingMultiprocessor::retire(const Event& e, bool lsu) {
+  Warp& w = warps_[e.slot];
+  w.pending_writes &= ~e.dst_mask;
+  GRS_CHECK(w.inflight > 0);
+  --w.inflight;
+  if (lsu) {
+    GRS_CHECK(lsu_inflight_ > 0);
+    --lsu_inflight_;
+  }
+  wake(e.slot);
+}
+
+template <class Queue>
+void StreamingMultiprocessor::start_writeback(Queue& q, Warp& w, const DecodedInstr& d,
+                                              Cycle at) {
+  q.push(Event{at, warp_slot_of(w), d.dst});
+  w.pending_writes |= d.dst;
+  ++w.inflight;
+}
+
 void StreamingMultiprocessor::drain_events(Cycle now) {
-  while (!events_.empty() && events_.top().cycle <= now) {
-    const Event e = events_.top();
-    events_.pop();
-    Warp& w = warps_[e.slot];
-    w.pending_writes &= ~e.dst_mask;
-    GRS_CHECK(w.inflight > 0);
-    --w.inflight;
-    if (e.mem) {
-      GRS_CHECK(lsu_inflight_ > 0);
-      --lsu_inflight_;
-    }
-    wake(e.slot);
+  const auto drain_fifo = [&](WritebackFifo& q, bool lsu) {
+    for (; !q.empty() && q.front().cycle <= now; q.pop()) retire(q.front(), lsu);
+  };
+  drain_fifo(alu_wb_, false);
+  drain_fifo(sfu_wb_, false);
+  drain_fifo(smem_wb_, true);
+  drain_fifo(store_wb_, true);
+  for (; !load_wb_.empty() && load_wb_.top().cycle <= now; load_wb_.pop()) {
+    retire(load_wb_.top(), true);
   }
 }
 
@@ -211,8 +239,9 @@ bool StreamingMultiprocessor::step(Cycle now) {
 }
 
 Cycle StreamingMultiprocessor::next_wakeup() const {
-  Cycle next = events_.empty() ? kNeverCycle : events_.top().cycle;
-  return std::min(next, l1_.next_ready());
+  const Cycle load = load_wb_.empty() ? kNeverCycle : load_wb_.top().cycle;
+  return std::min({alu_wb_.front_cycle(), sfu_wb_.front_cycle(), smem_wb_.front_cycle(),
+                   store_wb_.front_cycle(), load, l1_.next_ready()});
 }
 
 bool StreamingMultiprocessor::tick(Cycle now) {
@@ -429,25 +458,19 @@ void StreamingMultiprocessor::issue(Warp& w, const DecodedInstr& d, Cycle now) {
 
   switch (d.op) {
     case Op::kAlu: {
-      events_.push(Event{now + cfg_.alu_latency, warp_slot_of(w), d.dst, false});
-      w.pending_writes |= d.dst;
-      ++w.inflight;
+      start_writeback(alu_wb_, w, d, now + cfg_.alu_latency);
       break;
     }
     case Op::kSfu: {
       ++sfu_port_;
-      events_.push(Event{now + cfg_.sfu_latency, warp_slot_of(w), d.dst, false});
-      w.pending_writes |= d.dst;
-      ++w.inflight;
+      start_writeback(sfu_wb_, w, d, now + cfg_.sfu_latency);
       break;
     }
     case Op::kLdShared:
     case Op::kStShared: {
       ++lsu_port_;
       ++lsu_inflight_;
-      events_.push(Event{now + cfg_.scratchpad_latency, warp_slot_of(w), d.dst, true});
-      w.pending_writes |= d.dst;
-      ++w.inflight;
+      start_writeback(smem_wb_, w, d, now + cfg_.scratchpad_latency);
       break;
     }
     case Op::kLdGlobal:
@@ -512,10 +535,14 @@ void StreamingMultiprocessor::do_global_access(Warp& w, const DecodedInstr& d, C
     }
   }
 
+  // A store completes at now + l1_hit_latency, so stores retire in issue
+  // order; a load's completion depends on the memory system.
   ++lsu_inflight_;
-  events_.push(Event{completion, warp_slot_of(w), d.dst, true});
-  w.pending_writes |= d.dst;
-  ++w.inflight;
+  if (d.op == Op::kStGlobal) {
+    start_writeback(store_wb_, w, d, completion);
+  } else {
+    start_writeback(load_wb_, w, d, completion);
+  }
 }
 
 void StreamingMultiprocessor::release_barrier_if_complete(ResidentBlock& b) {
@@ -541,6 +568,10 @@ void StreamingMultiprocessor::handle_exit(Warp& w, Cycle now) {
 
   if (b.is_shared() && cfg_.sharing.resource == Resource::kRegisters) {
     // Shared registers release when their holder warp finishes (paper §III-A).
+    // Under today's rules this wake never changes a waiter's outcome: the
+    // side that holds locks is entitled to the pool until its block
+    // finishes, and finish_block wakes the waiters. It stays for lock rules
+    // that let a waiter in earlier.
     pairs_[b.pair_id].locks.reg_release_on_warp_finish(b.side, w.pos_in_block);
     wake_lock_waiters(pairs_[b.pair_id]);
     if (trace_) trace_->lock_release_warp(id_, b.pair_id, now, b.side, w.pos_in_block);
@@ -593,7 +624,16 @@ void StreamingMultiprocessor::finish_block(BlockSlot bs, Cycle now) {
 }
 
 bool StreamingMultiprocessor::drained() const {
-  return resident_blocks_ == 0 && events_.empty();
+  return resident_blocks_ == 0 && alu_wb_.empty() && sfu_wb_.empty() && smem_wb_.empty() &&
+         store_wb_.empty() && load_wb_.empty();
+}
+
+StreamingMultiprocessor::ParkedCounts StreamingMultiprocessor::parked_counts() const {
+  ParkedCounts sum{};
+  for (const VisitList& v : visit_lists_) {
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += v.parked[i];
+  }
+  return sum;
 }
 
 const SmStats& StreamingMultiprocessor::finalize_stats() {

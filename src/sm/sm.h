@@ -97,9 +97,10 @@ class StreamingMultiprocessor {
   void flush_idle_accounting(Cycle final_cycle);
 
   /// Earliest future cycle at which this SM's candidate scan can change on
-  /// its own: the head of the writeback event queue or the first L1 MSHR
-  /// fill (which can unblock MSHR-capacity stalls before the owning warp's
-  /// completion event). kNeverCycle when neither is pending. Everything else
+  /// its own: the earliest writeback (the fronts of the fixed-latency FIFOs
+  /// and the top of the load heap) or the first L1 MSHR fill (which can
+  /// unblock MSHR-capacity stalls before the owning warp's completion
+  /// event). kNeverCycle when none is pending. Everything else
   /// that affects issuability (locks, barriers, ownership, dispatch) only
   /// moves when some warp on this SM issues.
   [[nodiscard]] Cycle next_wakeup() const;
@@ -137,6 +138,12 @@ class StreamingMultiprocessor {
   [[nodiscard]] std::uint32_t warp_slots() const {
     return static_cast<std::uint32_t>(warps_.size());
   }
+  /// Event mode: parked warps by scan outcome (indexed by obs::WarpState),
+  /// summed over the schedulers. Names the stuck state when the run
+  /// deadlocks.
+  using ParkedCounts =
+      std::array<std::uint32_t, static_cast<std::size_t>(obs::WarpState::kSfuPort) + 1>;
+  [[nodiscard]] ParkedCounts parked_counts() const;
 
   // --- introspection for tests -------------------------------------------
   [[nodiscard]] const ResidentBlock& block(BlockSlot s) const { return blocks_[s]; }
@@ -152,17 +159,38 @@ class StreamingMultiprocessor {
     PairLockState locks;
   };
 
+  /// An issued instruction's writeback: at `cycle` it clears `dst_mask`
+  /// from warp `slot`'s pending writes and retires the instruction.
   struct Event {
     Cycle cycle = 0;
     std::uint32_t slot = 0;
     std::uint64_t dst_mask = 0;
-    bool mem = false;
   };
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const { return a.cycle > b.cycle; }
   };
+  /// Writebacks of one fixed-latency class. On one SM `now` only grows, so
+  /// they complete in issue order: a ring buffer that doubles when full.
+  class WritebackFifo {
+   public:
+    [[nodiscard]] bool empty() const { return head_ == tail_; }
+    [[nodiscard]] const Event& front() const { return ring_[head_ & (ring_.size() - 1)]; }
+    [[nodiscard]] Cycle front_cycle() const { return empty() ? kNeverCycle : front().cycle; }
+    void pop() { ++head_; }
+    void push(const Event& e);
+
+   private:
+    std::vector<Event> ring_;  ///< power-of-two size
+    std::size_t head_ = 0;     ///< positions only grow; live = [head_, tail_)
+    std::size_t tail_ = 0;
+  };
 
   void drain_events(Cycle now);
+  void retire(const Event& e, bool lsu);
+  /// Queue `w`'s writeback of `d` for cycle `at` on `q` (a WritebackFifo,
+  /// or the load heap) and mark its destinations pending.
+  template <class Queue>
+  void start_writeback(Queue& q, Warp& w, const DecodedInstr& d, Cycle at);
   bool run_scheduler(std::uint32_t sched_id, Cycle now);
   /// Classify one live warp for this cycle: count its blocked reason, or
   /// append it to cands_ (kEligible). The one classification body both
@@ -220,11 +248,20 @@ class StreamingMultiprocessor {
   /// slot and parks nothing.
   struct VisitList {
     std::vector<std::uint64_t> visit;
-    std::array<std::uint32_t, static_cast<std::size_t>(obs::WarpState::kSfuPort) + 1> parked{};
+    ParkedCounts parked{};
   };
   std::vector<VisitList> visit_lists_;
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
+  /// In-flight writebacks. Fixed latencies (ALU, SFU, scratchpad, and the
+  /// global store's write-queue handoff) complete in issue order, so each
+  /// class is a FIFO; only global loads, whose latency depends on the memory
+  /// system, need a heap. Retire order within a cycle does not matter: each
+  /// retire clears bits, decrements counters and wakes its warp.
+  WritebackFifo alu_wb_;
+  WritebackFifo sfu_wb_;
+  WritebackFifo smem_wb_;   ///< LSU work
+  WritebackFifo store_wb_;  ///< LSU work
+  std::priority_queue<Event, std::vector<Event>, EventAfter> load_wb_;  ///< LSU work
   std::uint32_t lsu_inflight_ = 0;
   std::uint32_t lsu_port_ = 0;  ///< per-cycle issue-port counters
   std::uint32_t sfu_port_ = 0;

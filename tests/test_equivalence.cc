@@ -115,6 +115,19 @@ TEST(Equivalence, ParkedLockAndBarrierWaits) {
   }
 }
 
+// A warp that exits releases its register lock (paper §III-A) while the rest
+// of its block runs on and warps of the partner block are parked waiting on
+// that pair. Greedy scheduling staggers the exits of one block's warps, so
+// most such releases happen with the block alive.
+TEST(Equivalence, WarpExitReleasesLockWhileBlockLivesOn) {
+  const KernelInfo k = shrink(corpus_kernel("study_reg_pressure.gkd"), 16);
+  for (const SchedulerKind sched : {SchedulerKind::kGto, SchedulerKind::kOwf}) {
+    const std::string what = "study_reg_pressure / " + std::string(to_string(sched));
+    const SimResult r = expect_equivalent(sharing_line(sched, 1), k, what);
+    EXPECT_GT(r.stats.sm_total.lock_wait_cycles, 0u) << what;
+  }
+}
+
 // Full-size memory-bound kernel: long idle windows, deep sleep/jump paths.
 TEST(Equivalence, FullSizeMemoryBoundKernel) {
   expect_equivalent(configs::unshared(), workloads::btree(), "b+tree full grid");

@@ -160,6 +160,60 @@ TEST(Cache, BatchDrainInstallsInReadyOrder) {
   EXPECT_FALSE(c.lookup(128, 41).hit) << "LRU (earliest-ready) line kept";
 }
 
+TEST(Cache, SameReadyLinesInstallInLineOrder) {
+  // Two lines due in the same cycle, filled in descending address order:
+  // the drain installs them in line order, so the lower address is the LRU
+  // way and the third line evicts it.
+  CacheConfig cfg;
+  cfg.size_bytes = 2 * 128;  // one set, two ways
+  cfg.ways = 2;
+  cfg.line_bytes = 128;
+  Cache c(cfg);
+  (void)c.lookup(128, 0);
+  c.fill_inflight(128, 10);
+  (void)c.lookup(0, 0);
+  c.fill_inflight(0, 10);
+  c.drain(10);
+  (void)c.lookup(256, 20);
+  c.fill_inflight(256, 30);
+  c.drain(30);
+  EXPECT_FALSE(c.lookup(0, 40).hit) << "lower address installed first, evicted first";
+  EXPECT_TRUE(c.lookup(128, 41).hit);
+  EXPECT_TRUE(c.lookup(256, 42).hit);
+}
+
+TEST(Cache, ReMissFollowsTheNewReadyCycle) {
+  // Fill a line, drain it, evict it, miss on it again: next_ready() follows
+  // the refill alone, with nothing left of the first fill.
+  CacheConfig cfg;
+  cfg.size_bytes = 2 * 128;  // one set, two ways
+  cfg.ways = 2;
+  cfg.line_bytes = 128;
+  Cache c(cfg);
+  (void)c.lookup(0, 0);
+  c.fill_inflight(0, 10);
+  c.drain(10);
+  EXPECT_EQ(c.next_ready(), kNeverCycle);
+  EXPECT_TRUE(c.lookup(0, 11).hit);
+  (void)c.lookup(128, 12);
+  c.fill_inflight(128, 20);
+  (void)c.lookup(256, 13);
+  c.fill_inflight(256, 30);
+  c.drain(30);  // line 0 is the LRU way: 256 evicts it
+  EXPECT_EQ(c.next_ready(), kNeverCycle);
+  EXPECT_FALSE(c.lookup(0, 40).hit);
+  c.fill_inflight(0, 90);
+  EXPECT_EQ(c.inflight(), 1u);
+  EXPECT_EQ(c.next_ready(), 90u);
+  c.drain(89);
+  EXPECT_EQ(c.inflight(), 1u);
+  EXPECT_EQ(c.next_ready(), 90u);
+  c.drain(90);
+  EXPECT_EQ(c.inflight(), 0u);
+  EXPECT_EQ(c.next_ready(), kNeverCycle);
+  EXPECT_TRUE(c.lookup(0, 91).hit);
+}
+
 // --- DRAM ---------------------------------------------------------------------
 
 TEST(Dram, RowHitCheaperThanRowMiss) {

@@ -96,6 +96,36 @@ TEST(Sm, ExitWaitsForInflightInstructions) {
   EXPECT_GT(end, h.cfg.l1_hit_latency) << "exit must not overtake the load";
 }
 
+// A global store and an SFU op retire from their own fixed-latency writeback
+// FIFOs; either one alone must keep the SM undrained and be its next wakeup.
+TEST(Sm, LoneStoreIsTheNextWakeup) {
+  ProgramBuilder b(2);
+  b.st_global(0, MemPattern::kCoalesced, Locality::kStreaming, 1, 0);
+  SmHarness h(one_sm(), b.build(), KernelResources{32, 2, 0});
+  h.sm.launch_block(0, 0);
+  h.sm.step(1);  // issues the store
+  h.sm.step(2);  // the exit waits for it
+  EXPECT_EQ(h.sm.stats().warp_instructions, 1u);
+  EXPECT_FALSE(h.sm.drained());
+  EXPECT_EQ(h.sm.next_wakeup(), 1 + h.cfg.l1_hit_latency);
+  h.run_until_drained();
+  EXPECT_EQ(h.sm.next_wakeup(), kNeverCycle);
+}
+
+TEST(Sm, LoneSfuOpIsTheNextWakeup) {
+  ProgramBuilder b(2);
+  b.sfu(0);
+  SmHarness h(one_sm(), b.build(), KernelResources{32, 2, 0});
+  h.sm.launch_block(0, 0);
+  h.sm.step(1);  // issues the SFU op
+  h.sm.step(2);  // the exit waits for it
+  EXPECT_EQ(h.sm.stats().warp_instructions, 1u);
+  EXPECT_FALSE(h.sm.drained());
+  EXPECT_EQ(h.sm.next_wakeup(), 1 + h.cfg.sfu_latency);
+  h.run_until_drained();
+  EXPECT_EQ(h.sm.next_wakeup(), kNeverCycle);
+}
+
 TEST(Sm, PartialLastWarpGetsReducedLanes) {
   ProgramBuilder b(2);
   b.alu(0).alu(1, 0);
