@@ -12,12 +12,12 @@ side, alternating which side goes first, so slow drift of the host lands on
 both sides alike. The first run of each side also builds its benchmark
 program, so one untimed 1-second warm-up run per side comes first.
 
-Prints every pair, each side's median and quartiles, the gap between the
-medians against the base's interquartile spread, the median ratio (base /
-change for a lower-is-better metric, change / base otherwise, so > 1 always
-means the change is better), how many pairs the change won (ties count
-for neither side), and both sides' medians of every end-to-end metric. Every
-run must report "correct": true. The worktree is removed at the end.
+Compares wall_s (lower is better). Prints every pair, each side's median
+and quartiles, the gap between the medians against the base's interquartile
+spread, the median ratio base / change (> 1 means the change is faster), how
+many pairs the change won (ties count for neither side), and both sides'
+medians of every end-to-end metric in BENCHMARK.json. Every run must report
+"correct": true. The worktree is removed at the end.
 """
 
 import argparse
@@ -62,17 +62,13 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=int, default=45)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--metric", default="wall_s")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
-    spec = json.loads((root / "BENCHMARK.json").read_text())
-    lower_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    if args.metric not in lower_better:
-        sys.exit(f"ab_bench: BENCHMARK.json declares no end-to-end metric {args.metric}")
-    lower = lower_better[args.metric]
+    metrics = [m["name"] for m in
+               json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
     sha = git(root, "rev-parse", "--verify", args.base + "^{commit}")
     base_tree = root / ".bench_build" / f"ab-{sha[:12]}"
     if base_tree.exists():
@@ -88,9 +84,8 @@ def main() -> int:
             run_side(tree, args.workload, args.seed, 1)
         values = {"base": [], "change": []}
         runs = {"base": [], "change": []}
-        print(f"{args.metric} ({'lower' if lower else 'higher'} is better), "
-              f"{args.workload} seed {args.seed}, {args.seconds} s per run, "
-              f"base {sha[:12]}")
+        print(f"wall_s (lower is better), {args.workload} seed {args.seed}, "
+              f"{args.seconds} s per run, base {sha[:12]}")
         wins = 0
         for i in range(args.pairs):
             order = ["change", "base"] if i % 2 == 0 else ["base", "change"]
@@ -98,9 +93,9 @@ def main() -> int:
             for side in order:
                 r = run_side(sides[side], args.workload, args.seed, args.seconds)
                 runs[side].append(r["metrics"])
-                pair[side] = r["metrics"][args.metric]["value"]
+                pair[side] = r["metrics"]["wall_s"]["value"]
                 values[side].append(pair[side])
-            gain = pair["base"] - pair["change"] if lower else pair["change"] - pair["base"]
+            gain = pair["base"] - pair["change"]
             wins += gain > 0
             outcome = "win" if gain > 0 else "tie" if gain == 0 else "loss"
             print(f"pair {i + 1:2d} ({order[0]} first): base {pair['base']:.6g}  "
@@ -112,11 +107,10 @@ def main() -> int:
         q1, q3 = quartiles(values["base"])
         print(f"median gap {abs(med['base'] - med['change']):.6g} "
               f"vs base interquartile spread {q3 - q1:.6g}")
-        ratio = med["base"] / med["change"] if lower else med["change"] / med["base"]
-        print(f"median ratio {ratio:.3f}x (> 1: change better), "
+        print(f"median ratio {med['base'] / med['change']:.3f}x (> 1: change better), "
               f"change won {wins} of {args.pairs} pairs")
         print("end-to-end medians, base -> change:")
-        for name in lower_better:
+        for name in metrics:
             b, c = (statistics.median(m[name]["value"] for m in runs[s])
                     for s in ("base", "change"))
             print(f"  {name:18s} {b:.6g} -> {c:.6g}")

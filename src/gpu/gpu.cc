@@ -58,16 +58,6 @@ void Gpu::take_timeline_sample(Cycle b) {
   obs_->timeline_sample(b, pts, g);
 }
 
-bool Gpu::advance_sm(std::size_t i, Cycle cycle) {
-  StreamingMultiprocessor& sm = sms_[i];
-  const bool issued = cfg_.exec_mode == ExecMode::kEvent ? sm.tick(cycle) : sm.step(cycle);
-  if (!drained_[i] && sm.drained()) {
-    drained_[i] = true;
-    --undrained_sms_;
-  }
-  return issued;
-}
-
 void Gpu::abort_deadlock(Cycle cycle) const {
   std::ostringstream msg;
   msg << "deadlock at cycle " << cycle
@@ -101,9 +91,6 @@ GpuStats Gpu::run() {
   }
 
   dispatcher_->initial_fill();
-  drained_.clear();
-  for (const auto& sm : sms_) drained_.push_back(sm.drained());
-  undrained_sms_ = static_cast<std::size_t>(std::count(drained_.begin(), drained_.end(), false));
 
   std::vector<std::uint64_t> stall_mark(sms_.size(), 0);
   std::vector<std::uint64_t> period_stalls(sms_.size(), 0);
@@ -116,8 +103,13 @@ GpuStats Gpu::run() {
   const Cycle tl_interval = obs_ != nullptr ? obs_->timeline_interval() : 0;
   Cycle next_sample = tl_interval;
 
+  // An SM's drained() changes only in its own step: a finished block is
+  // refilled into the SM it finished on. So whether every SM has drained is
+  // read in the pass that steps them.
+  bool all_drained = std::all_of(sms_.begin(), sms_.end(),
+                                 [](const StreamingMultiprocessor& sm) { return sm.drained(); });
   Cycle cycle = 0;
-  while (!done()) {
+  while (!(all_drained && dispatcher_->all_dispatched())) {
     ++cycle;
     if (tl_interval != 0) {
       while (next_sample < cycle) {
@@ -128,18 +120,23 @@ GpuStats Gpu::run() {
     bool issued = false;
     // Earliest idle_until() over the SMs after this cycle's ticks.
     Cycle next_wake = kNeverCycle;
+    all_drained = true;
     if (event_mode) {
       // The wake calendar: tick() lets each SM sleep through its own
       // provably-idle windows, so only the SMs whose window has ended are
       // ticked (a sleeping SM's tick is a no-op). SMs interact only through
       // issue-time memory accesses, which a sleeping SM by definition does
       // not generate; the awake ones still go in SM-index order.
-      for (std::size_t i = 0; i < sms_.size(); ++i) {
-        if (sms_[i].idle_until() <= cycle) issued |= advance_sm(i, cycle);
-        next_wake = std::min(next_wake, sms_[i].idle_until());
+      for (auto& sm : sms_) {
+        if (sm.idle_until() <= cycle) issued |= sm.tick(cycle);
+        next_wake = std::min(next_wake, sm.idle_until());
+        all_drained = all_drained && sm.drained();
       }
     } else {
-      for (std::size_t i = 0; i < sms_.size(); ++i) issued |= advance_sm(i, cycle);
+      for (auto& sm : sms_) {
+        issued |= sm.step(cycle);
+        all_drained = all_drained && sm.drained();
+      }
     }
 
     // Dynamic warp execution: periodic stall comparison against SM0

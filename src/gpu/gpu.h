@@ -38,12 +38,6 @@ class Gpu {
   [[nodiscard]] const std::vector<StreamingMultiprocessor>& sms() const { return sms_; }
 
  private:
-  [[nodiscard]] bool done() const {
-    return undrained_sms_ == 0 && dispatcher_->all_dispatched();
-  }
-  /// Run SM `i` for `cycle` (tick in event mode, step in cycle mode) and
-  /// count it out of undrained_sms_ once it drains. Returns true on issue.
-  bool advance_sm(std::size_t i, Cycle cycle);
   /// Abort an event-mode run in which every SM sleeps forever, naming the
   /// cycle and each SM's resident work and parked warps.
   [[noreturn]] void abort_deadlock(Cycle cycle) const;
@@ -57,11 +51,6 @@ class Gpu {
   DynThrottle dyn_;
   std::vector<StreamingMultiprocessor> sms_;
   std::unique_ptr<Dispatcher> dispatcher_;
-  /// SMs not yet drained. Only a step changes an SM's drained(), and a
-  /// drained SM stays drained: blocks are launched only into the SM whose
-  /// block just finished.
-  std::size_t undrained_sms_ = 0;
-  std::vector<bool> drained_;
   obs::SimObserver* obs_ = nullptr;
   prof::HostProfiler* prof_ = nullptr;
   std::string kernel_name_;

@@ -110,17 +110,6 @@ void StreamingMultiprocessor::launch_block(BlockSlot slot, std::uint64_t block_u
   }
 }
 
-void StreamingMultiprocessor::WritebackFifo::push(const Event& e) {
-  if (tail_ - head_ == ring_.size()) {
-    std::vector<Event> grown(std::max<std::size_t>(16, 2 * ring_.size()));
-    for (std::size_t i = head_; i < tail_; ++i) grown[i - head_] = ring_[i & (ring_.size() - 1)];
-    ring_ = std::move(grown);
-    tail_ -= head_;
-    head_ = 0;
-  }
-  ring_[tail_++ & (ring_.size() - 1)] = e;
-}
-
 void StreamingMultiprocessor::retire(const Event& e, bool lsu) {
   Warp& w = warps_[e.slot];
   w.pending_writes &= ~e.dst_mask;
@@ -142,7 +131,7 @@ void StreamingMultiprocessor::start_writeback(Queue& q, Warp& w, const DecodedIn
 }
 
 void StreamingMultiprocessor::drain_events(Cycle now) {
-  const auto drain_fifo = [&](WritebackFifo& q, bool lsu) {
+  const auto drain_fifo = [&](std::queue<Event>& q, bool lsu) {
     for (; !q.empty() && q.front().cycle <= now; q.pop()) retire(q.front(), lsu);
   };
   drain_fifo(alu_wb_, false);
@@ -239,9 +228,12 @@ bool StreamingMultiprocessor::step(Cycle now) {
 }
 
 Cycle StreamingMultiprocessor::next_wakeup() const {
+  const auto front = [](const std::queue<Event>& q) {
+    return q.empty() ? kNeverCycle : q.front().cycle;
+  };
   const Cycle load = load_wb_.empty() ? kNeverCycle : load_wb_.top().cycle;
-  return std::min({alu_wb_.front_cycle(), sfu_wb_.front_cycle(), smem_wb_.front_cycle(),
-                   store_wb_.front_cycle(), load, l1_.next_ready()});
+  return std::min({front(alu_wb_), front(sfu_wb_), front(smem_wb_), front(store_wb_), load,
+                   l1_.next_ready()});
 }
 
 bool StreamingMultiprocessor::tick(Cycle now) {

@@ -169,26 +169,10 @@ class StreamingMultiprocessor {
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const { return a.cycle > b.cycle; }
   };
-  /// Writebacks of one fixed-latency class. On one SM `now` only grows, so
-  /// they complete in issue order: a ring buffer that doubles when full.
-  class WritebackFifo {
-   public:
-    [[nodiscard]] bool empty() const { return head_ == tail_; }
-    [[nodiscard]] const Event& front() const { return ring_[head_ & (ring_.size() - 1)]; }
-    [[nodiscard]] Cycle front_cycle() const { return empty() ? kNeverCycle : front().cycle; }
-    void pop() { ++head_; }
-    void push(const Event& e);
-
-   private:
-    std::vector<Event> ring_;  ///< power-of-two size
-    std::size_t head_ = 0;     ///< positions only grow; live = [head_, tail_)
-    std::size_t tail_ = 0;
-  };
-
   void drain_events(Cycle now);
   void retire(const Event& e, bool lsu);
-  /// Queue `w`'s writeback of `d` for cycle `at` on `q` (a WritebackFifo,
-  /// or the load heap) and mark its destinations pending.
+  /// Queue `w`'s writeback of `d` for cycle `at` on `q` (a fixed-latency
+  /// FIFO or the load heap) and mark its destinations pending.
   template <class Queue>
   void start_writeback(Queue& q, Warp& w, const DecodedInstr& d, Cycle at);
   bool run_scheduler(std::uint32_t sched_id, Cycle now);
@@ -257,10 +241,10 @@ class StreamingMultiprocessor {
   /// class is a FIFO; only global loads, whose latency depends on the memory
   /// system, need a heap. Retire order within a cycle does not matter: each
   /// retire clears bits, decrements counters and wakes its warp.
-  WritebackFifo alu_wb_;
-  WritebackFifo sfu_wb_;
-  WritebackFifo smem_wb_;   ///< LSU work
-  WritebackFifo store_wb_;  ///< LSU work
+  std::queue<Event> alu_wb_;
+  std::queue<Event> sfu_wb_;
+  std::queue<Event> smem_wb_;   ///< LSU work
+  std::queue<Event> store_wb_;  ///< LSU work
   std::priority_queue<Event, std::vector<Event>, EventAfter> load_wb_;  ///< LSU work
   std::uint32_t lsu_inflight_ = 0;
   std::uint32_t lsu_port_ = 0;  ///< per-cycle issue-port counters

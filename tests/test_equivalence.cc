@@ -71,14 +71,16 @@ constexpr const char* kLineNames[] = {"unshared", "shared-reg", "shared-smem",
 
 // The grid: kernels x {LRR, GTO, two-level, OWF} x {no sharing, register
 // sharing, scratchpad sharing, +dyn}. Kernels cover one per paper set
-// (register-limited, scratchpad-limited, thread/block-limited) plus a
-// barrier-per-iteration corpus kernel, at a shrunken grid so one point
-// simulates in milliseconds.
+// (register-limited, scratchpad-limited, thread/block-limited), a
+// barrier-per-iteration corpus kernel, and a barrier-free register-pressure
+// kernel whose warps exit one by one while partner warps wait on their
+// register locks, at a shrunken grid so one point simulates in milliseconds.
 TEST(Equivalence, KernelsBySchedulersBySharing) {
   const KernelInfo kernels[] = {shrink(workloads::hotspot(), 8),
                                 shrink(workloads::lavamd(), 8),
                                 shrink(workloads::bfs(), 8),
-                                shrink(corpus_kernel("staged_reduce.gkd"), 16)};
+                                shrink(corpus_kernel("staged_reduce.gkd"), 16),
+                                shrink(corpus_kernel("study_reg_pressure.gkd"), 16)};
   const SchedulerKind scheds[] = {SchedulerKind::kLrr, SchedulerKind::kGto,
                                   SchedulerKind::kTwoLevel, SchedulerKind::kOwf};
   for (const KernelInfo& k : kernels) {
@@ -112,19 +114,6 @@ TEST(Equivalence, ParkedLockAndBarrierWaits) {
     const SimResult r = expect_equivalent(sharing_line(sched, 1), k, what);
     EXPECT_GT(r.stats.sm_total.lock_wait_cycles, 0u) << what;
     EXPECT_GT(r.stats.sm_total.blocked_barrier, 0u) << what;
-  }
-}
-
-// A warp that exits releases its register lock (paper §III-A) while the rest
-// of its block runs on and warps of the partner block are parked waiting on
-// that pair. Greedy scheduling staggers the exits of one block's warps, so
-// most such releases happen with the block alive.
-TEST(Equivalence, WarpExitReleasesLockWhileBlockLivesOn) {
-  const KernelInfo k = shrink(corpus_kernel("study_reg_pressure.gkd"), 16);
-  for (const SchedulerKind sched : {SchedulerKind::kGto, SchedulerKind::kOwf}) {
-    const std::string what = "study_reg_pressure / " + std::string(to_string(sched));
-    const SimResult r = expect_equivalent(sharing_line(sched, 1), k, what);
-    EXPECT_GT(r.stats.sm_total.lock_wait_cycles, 0u) << what;
   }
 }
 
